@@ -2,7 +2,8 @@
 // evaluation, one testing.B benchmark per artifact. Each iteration runs
 // the experiment at reduced scale and reports its headline numbers as
 // custom metrics, so `go test -bench=. -benchmem` doubles as a smoke
-// reproduction; use cmd/paco or cmd/paco-repro for full-scale runs.
+// reproduction; use `paco <experiment>` or `paco all` (cmd/paco) for
+// full-scale runs.
 package paco
 
 import (

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -21,10 +22,11 @@ import (
 // extra estimators on a shared core (estimators are passive observers
 // absent a gate) and gated cells on their own cores replaying the tape.
 //
-// The planner is a pure function of the job slice, and the lockstep
-// scheduler cannot perturb per-core evolution (see cpu.Batch), so the
-// batched path returns byte-identical results to the unbatched path at
-// any K — shard content addresses and the federation's determinism
+// Every unit runs on this lane engine, one cell or K cells. The planner
+// is a pure function of the job slice, and the lockstep scheduler
+// cannot perturb per-core evolution (see cpu.Batch), so a cell's result
+// is byte-identical at any K to the same job run alone on a walker-fed
+// core — shard content addresses and the federation's determinism
 // guarantees are untouched.
 
 // batchDomain versions the stream-key computation, domain-separated
@@ -39,7 +41,7 @@ const DefaultBatchK = 8
 
 // BatchUnit is one planned execution unit: the cells (indices into the
 // planned job slice) that run together on one shared instruction
-// stream. A unit of one cell executes on the ordinary single-cell path.
+// stream.
 type BatchUnit struct {
 	// Key is the unit's stream key — the content address of the shared
 	// workload stream and run shape. Empty for singleton units of jobs
@@ -79,17 +81,10 @@ func StreamKey(job *Job) (string, bool) {
 // batchK cells each, grouping jobs by stream key. Every job lands in
 // exactly one unit; groups split into balanced chunks (Ranges); units
 // are ordered by first cell, so a plan over a grid's workload-major job
-// order stays contiguous. batchK <= 1 plans every job as a singleton —
-// the unbatched path.
+// order stays contiguous. batchK <= 1 plans one cell per unit.
 func PlanBatches(jobs []Job, batchK int) []BatchUnit {
+	batchK = max(batchK, 1)
 	units := make([]BatchUnit, 0, len(jobs))
-	if batchK <= 1 {
-		for i := range jobs {
-			key, _ := StreamKey(&jobs[i])
-			units = append(units, BatchUnit{Key: key, Cells: []int{i}})
-		}
-		return units
-	}
 	type group struct {
 		key   string
 		cells []int
@@ -132,9 +127,8 @@ func sortUnits(units []BatchUnit) {
 	}
 }
 
-// batchLane is one cell's state during batched execution.
+// batchLane is one cell's state in the lane engine.
 type batchLane struct {
-	job     *Job
 	spec    *workload.Spec
 	machine cpu.Config
 	hooks   Hooks
@@ -143,18 +137,18 @@ type batchLane struct {
 	settled bool
 }
 
-// executeUnit runs a multi-cell unit on one shared instruction stream
-// and returns one Result per cell, each byte-identical to what
-// execute() would have produced for that cell alone: the per-lane
+// executeUnit runs a unit on one shared instruction stream and returns
+// one Result per cell, each byte-identical to running that cell alone
+// through finishRun on a private walker-fed core: the per-lane
 // construction sequence (resolve spec, build core, run Setup), the
 // warmup/refresh/reset/measure schedule, and the Result assembly all
-// mirror the single-cell path exactly.
+// mirror it exactly. Exec jobs (always one-cell units) settle in the
+// prologue by calling Exec with ctx.
 //
-// A panic (from user Setup/estimator/gate code) fails every cell in the
-// unit that has not already settled, with the singleton path's
-// "panic: ..." text; per-lane isolation is not possible once lanes
-// share a core.
-func executeUnit(jobs []Job, cells []int) (out []Result) {
+// A panic (from user Exec/Setup/estimator/gate code) fails every cell in
+// the unit that has not already settled with a "panic: ..." error;
+// per-lane isolation is not possible once lanes share a core.
+func executeUnit(ctx context.Context, jobs []Job, cells []int) (out []Result) {
 	out = make([]Result, len(cells))
 	lanes := make([]*batchLane, len(cells))
 	settle := func(j int, res *Result, err error) {
@@ -172,9 +166,7 @@ func executeUnit(jobs []Job, cells []int) (out []Result) {
 			}
 			out[j] = *res
 		}
-		if lanes[j] != nil {
-			lanes[j].settled = true
-		}
+		lanes[j].settled = true
 	}
 	defer func() {
 		if p := recover(); p != nil {
@@ -188,13 +180,18 @@ func executeUnit(jobs []Job, cells []int) (out []Result) {
 		}
 	}()
 
-	// Per-lane prologue, in cell order, mirroring run(): resolve the
-	// workload, build the machine, construct the hooks.
+	// Per-lane prologue, in cell order: resolve the workload, build the
+	// machine, construct the hooks. Every lane that does not survive it
+	// settles here.
 	for j, ci := range cells {
 		job := &jobs[ci]
-		ln := &batchLane{job: job}
+		ln := &batchLane{}
 		lanes[j] = ln
-		ln.settled = true // until the lane survives the prologue
+		if job.Exec != nil {
+			res, err := job.Exec(ctx)
+			settle(j, res, err)
+			continue
+		}
 		spec, err := resolveSpec(job)
 		if err != nil {
 			settle(j, nil, err)
@@ -216,13 +213,11 @@ func executeUnit(jobs []Job, cells []int) (out []Result) {
 		}
 		if ln.hooks.Attached != nil {
 			// The hooks need a private core/walker handle; run the whole
-			// cell inline on the singleton path with the hooks already
+			// cell inline on a walker-fed core with the hooks already
 			// built (Setup runs exactly once either way).
 			res, err := finishRun(c, spec, job, ln.hooks)
 			settle(j, res, err)
-			continue
 		}
-		ln.settled = false
 	}
 
 	// Build the shared tape from the first surviving lane's spec (all

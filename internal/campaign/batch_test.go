@@ -3,11 +3,15 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"paco/internal/cpu"
+	"paco/internal/gating"
 	"paco/internal/scenario"
+	"paco/internal/workload"
 )
 
 // fuzzGrids returns a deterministic set of fuzzed + hand-shaped grids
@@ -106,27 +110,86 @@ func marshalResults(t *testing.T, results []Result) string {
 	return string(raw)
 }
 
-// TestBatchedRunnerByteIdentical is the tentpole guarantee at the
-// campaign level: for fuzzed grids, the batched runner's result slice
-// is byte-identical to the unbatched runner's at several batch widths
-// and worker counts.
-func TestBatchedRunnerByteIdentical(t *testing.T) {
-	for gi, g := range fuzzGrids(t) {
-		unbatched := Runner{Workers: 3}
-		want, wantErr := unbatched.Run(context.Background(), g.Jobs())
-		if wantErr != nil {
-			t.Fatalf("grid %d: unbatched run failed: %v", gi, wantErr)
+// walkerReference runs every job alone on a private walker-fed core
+// through finishRun, outside the lane engine — the reference every
+// lane-engine result must equal byte for byte.
+func walkerReference(t *testing.T, jobs []Job) []Result {
+	t.Helper()
+	out := make([]Result, len(jobs))
+	for i := range jobs {
+		job := &jobs[i]
+		spec, err := resolveSpec(job)
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
 		}
-		wantJSON := marshalResults(t, want)
-		for _, batchK := range []int{2, 4, 16} {
-			batched := Runner{Workers: 2, BatchK: batchK}
-			got, err := batched.Run(context.Background(), g.Jobs())
+		machine := cpu.DefaultConfig()
+		if job.Machine != nil {
+			machine = *job.Machine
+		}
+		c, err := cpu.New(machine)
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		var hooks Hooks
+		if job.Setup != nil {
+			hooks = job.Setup()
+		}
+		res, err := finishRun(c, spec, job, hooks)
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		res.JobID, res.Index = job.ID, i
+		out[i] = *res
+	}
+	return out
+}
+
+// referenceCampaigns returns the job sets the lane engine is checked
+// against walkerReference on: the fuzzed grids (an ungated refresh
+// axis, gated cells, width variation, fuzzed scenarios under a grid
+// seed) plus custom-spec jobs with and without a seed override.
+func referenceCampaigns(t *testing.T) [][]Job {
+	t.Helper()
+	var out [][]Job
+	for _, g := range fuzzGrids(t) {
+		out = append(out, g.Jobs())
+	}
+	spec, err := workload.NewBenchmark("twolf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gated := gridGate{label: "prob0.3", mk: func(refresh uint64) gating.Gate { return gating.NewProbGate(0.3, refresh) }}
+	var custom []Job
+	for _, seed := range []uint64{0, 4242} {
+		for _, refresh := range []uint64{100_000, 200_000} {
+			for _, gc := range []gridGate{{label: "ungated"}, gated} {
+				custom = append(custom, Job{
+					ID:   fmt.Sprintf("custom/s%d/r%d/%s", seed, refresh, gc.label),
+					Spec: spec, Seed: seed, Instructions: 4000, Warmup: 1000,
+					Setup: cellSetup(refresh, gc),
+				})
+			}
+		}
+	}
+	return append(out, custom)
+}
+
+// TestBatchedRunnerByteIdentical is the lane engine's reference check:
+// at K=1 (one cell per unit), K=8 and other widths, at several worker
+// counts, the runner's result slice is byte-identical to running every
+// job alone on a private walker-fed core.
+func TestBatchedRunnerByteIdentical(t *testing.T) {
+	for ci, jobs := range referenceCampaigns(t) {
+		wantJSON := marshalResults(t, walkerReference(t, jobs))
+		for _, batchK := range []int{1, 2, 4, 8, 16} {
+			r := Runner{Workers: 1 + batchK%3, BatchK: batchK}
+			got, err := r.Run(context.Background(), jobs)
 			if err != nil {
-				t.Fatalf("grid %d K=%d: batched run failed: %v", gi, batchK, err)
+				t.Fatalf("campaign %d K=%d: %v", ci, batchK, err)
 			}
 			if gotJSON := marshalResults(t, got); gotJSON != wantJSON {
-				t.Errorf("grid %d K=%d: batched results differ from unbatched:\n--- batched\n%s\n--- unbatched\n%s",
-					gi, batchK, gotJSON, wantJSON)
+				t.Errorf("campaign %d K=%d: lane-engine results differ from the walker-fed reference:\n--- lane engine\n%s\n--- reference\n%s",
+					ci, batchK, gotJSON, wantJSON)
 			}
 		}
 	}
@@ -162,7 +225,7 @@ func TestBatchedShardRunByteIdentical(t *testing.T) {
 		}
 		pieces := make([][]Result, len(shards))
 		for i, sh := range shards {
-			pieces[i], err = sh.RunBatched(context.Background(), 2, 4)
+			pieces[i], err = sh.Run(context.Background(), 2, 4)
 			if err != nil {
 				t.Fatalf("split %d shard %d: %v", n, i, err)
 			}

@@ -64,8 +64,8 @@ type Job struct {
 	Setup Setup
 
 	// Exec, when non-nil, replaces the standard single-thread simulation
-	// entirely: the engine calls it (with panic recovery) and adopts the
-	// returned Result. Used for runs the declarative fields cannot
+	// entirely: the engine calls it with the campaign's context (with
+	// panic recovery) and adopts the returned Result. Used for runs the declarative fields cannot
 	// express, e.g. multi-thread SMT measurements.
 	Exec func(ctx context.Context) (*Result, error)
 }
@@ -122,30 +122,9 @@ func resolveSpec(job *Job) (*workload.Spec, error) {
 	return spec, nil
 }
 
-// run executes the standard single-thread simulation for one job.
-func run(job *Job) (*Result, error) {
-	spec, err := resolveSpec(job)
-	if err != nil {
-		return nil, err
-	}
-	machine := cpu.DefaultConfig()
-	if job.Machine != nil {
-		machine = *job.Machine
-	}
-	c, err := cpu.New(machine)
-	if err != nil {
-		return nil, err
-	}
-	var hooks Hooks
-	if job.Setup != nil {
-		hooks = job.Setup()
-	}
-	return finishRun(c, spec, job, hooks)
-}
-
-// finishRun is the back half of run — attach the thread, warm up,
-// measure, collect — shared with the batched path's inline-singleton
-// fallback (jobs whose hooks need a private walker or core).
+// finishRun runs one job on a private walker-fed core — attach the
+// thread, warm up, measure, collect. The lane engine uses it for jobs
+// whose Attached hook needs a walker no other lane advances.
 func finishRun(c *cpu.Core, spec *workload.Spec, job *Job, hooks Hooks) (*Result, error) {
 	tid, err := c.AddThread(spec, hooks.Estimators)
 	if err != nil {

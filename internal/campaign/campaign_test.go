@@ -105,27 +105,61 @@ func TestSeedOverride(t *testing.T) {
 	}
 }
 
-// TestPanicRecovery: a panicking job fails alone; its neighbors complete
-// and Run reports the failure.
+// tickPanicker is an estimator that panics once the core reaches a
+// given cycle.
+type tickPanicker struct {
+	core.Estimator
+	at uint64
+}
+
+func (e tickPanicker) Tick(cycle uint64) {
+	if cycle == e.at {
+		panic("estimator kaboom")
+	}
+	e.Estimator.Tick(cycle)
+}
+
+// TestPanicRecovery: a job that panics in its Exec, its Setup or one of
+// its estimators fails alone, with the panic text; its neighbors, each
+// in its own one-cell unit, complete and Run reports the failure.
 func TestPanicRecovery(t *testing.T) {
-	jobs := simJobs(nil)[:2]
-	jobs = append(jobs, Job{
-		ID: "boom",
-		Exec: func(context.Context) (*Result, error) {
-			panic("kaboom")
-		},
-	})
-	results, err := Run(context.Background(), 4, jobs)
-	if err == nil || !strings.Contains(err.Error(), "kaboom") {
-		t.Fatalf("err = %v, want panic surfaced", err)
-	}
-	if !strings.Contains(results[2].Err, "panic: kaboom") {
-		t.Fatalf("panic result = %+v", results[2])
-	}
-	for i := 0; i < 2; i++ {
-		if results[i].Failed() || results[i].IPC <= 0 {
-			t.Fatalf("healthy job %d disturbed: %+v", i, results[i])
-		}
+	for _, tc := range []struct {
+		name, text string
+		job        Job
+	}{
+		{"exec", "panic: kaboom", Job{
+			Exec: func(context.Context) (*Result, error) { panic("kaboom") },
+		}},
+		{"setup", "panic: setup kaboom", Job{
+			Benchmark: "gzip", Instructions: 10_000, Warmup: 2_000,
+			Setup: func() Hooks { panic("setup kaboom") },
+		}},
+		{"estimator", "panic: estimator kaboom", Job{
+			Benchmark: "gzip", Instructions: 10_000, Warmup: 2_000,
+			Setup: func() Hooks {
+				paco := core.NewPaCo(core.PaCoConfig{RefreshPeriod: 10_000})
+				return Hooks{Estimators: []core.Estimator{tickPanicker{paco, 5_000}}}
+			},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			healthy := simJobs(nil)
+			boom := tc.job
+			boom.ID = "boom"
+			jobs := []Job{healthy[0], boom, healthy[1]}
+			results, err := Run(context.Background(), 4, jobs)
+			if err == nil || !strings.Contains(err.Error(), "boom") || !strings.Contains(err.Error(), tc.text) {
+				t.Fatalf("err = %v, want the panic surfaced naming the job", err)
+			}
+			if results[1].Err != tc.text || results[1].JobID != "boom" || results[1].Index != 1 {
+				t.Fatalf("panic result = %+v, want Err %q", results[1], tc.text)
+			}
+			for _, i := range []int{0, 2} {
+				if results[i].Failed() || results[i].IPC <= 0 {
+					t.Fatalf("healthy job %d disturbed: %+v", i, results[i])
+				}
+			}
+		})
 	}
 }
 

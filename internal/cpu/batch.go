@@ -53,9 +53,6 @@ func (b *Batch) Tape() *workload.Tape { return b.tape }
 // K returns the number of lanes (cores) attached.
 func (b *Batch) K() int { return len(b.cores) }
 
-// Core returns lane i's core.
-func (b *Batch) Core(i int) *Core { return b.cores[i] }
-
 // Attach adds a core as a batch lane: it gains one thread fed by a new
 // tape cursor with the given estimators. Attach must precede Run (all
 // cursors are created before consumption begins). The returned thread
@@ -81,8 +78,15 @@ func (b *Batch) cursor(i int) *workload.Cursor { return b.cores[i].threads[0].cu
 // goodpath instructions — per-core semantics identical to calling
 // Core.Run(goodInstrs, 0) on each lane in isolation. Lanes are
 // interleaved laggard-first in quanta of batchQuantum tape
-// instructions.
+// instructions. A sole lane shares its stream with no one, so it reads
+// the tape's walker directly and runs exactly as Core.Run on a
+// walker-fed core, without the ring or the scheduler.
 func (b *Batch) Run(goodInstrs uint64) {
+	if len(b.cores) == 1 {
+		b.cores[0].threads[0].cursor = nil
+		b.cores[0].Run(goodInstrs, 0)
+		return
+	}
 	for i, c := range b.cores {
 		c.prepareRun(goodInstrs)
 		b.done[i] = c.runDone()

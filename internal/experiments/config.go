@@ -135,6 +135,11 @@ func Has(name string) bool {
 	return ok
 }
 
+// Paper lists the paper's evaluation — every table and figure — in the
+// order the paper presents it, the order `paco all` runs and reports
+// them.
+var Paper = []string{"fig2", "fig3a", "fig3b", "table7", "fig8", "fig9", "fig10", "fig12", "tableA1"}
+
 // Names returns the registered experiment ids, sorted.
 func Names() []string {
 	out := make([]string, 0, len(registry))

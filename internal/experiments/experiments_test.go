@@ -25,6 +25,11 @@ func TestRegistryComplete(t *testing.T) {
 			t.Fatalf("experiments = %v, want %v", got, want)
 		}
 	}
+	for _, name := range Paper {
+		if !Has(name) {
+			t.Errorf("paper experiment %q is not registered", name)
+		}
+	}
 }
 
 func TestRunUnknown(t *testing.T) {
@@ -367,7 +372,7 @@ func TestReportsRender(t *testing.T) {
 // TestBatchedExperimentsByteIdentical renders whole paper experiments —
 // every campaign fig2 and the robustness study submit — through a
 // batched-lockstep campaign runner and requires the reports to be
-// byte-identical to the default unbatched path. This is the
+// byte-identical to the default of one cell per unit. This is the
 // experiment-level face of the batching guarantee: batch width, like
 // worker count, must never change result bytes.
 func TestBatchedExperimentsByteIdentical(t *testing.T) {

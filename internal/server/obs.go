@@ -151,9 +151,9 @@ func newServerObs(s *Server, logger *slog.Logger, flightSpans int) *serverObs {
 		"Cells per planned batched-lockstep execution unit.",
 		[]float64{1, 2, 4, 8, 16, 32})
 	o.batchedCells = r.Counter("paco_campaign_cells_batched_total",
-		"Campaign cells executed on the batched lockstep path (shared instruction stream).")
+		"Campaign cells executed in multi-cell lockstep units (shared instruction stream).")
 	o.singletonCells = r.Counter("paco_campaign_cells_singleton_total",
-		"Campaign cells executed on the single-cell path.")
+		"Campaign cells executed in one-cell units.")
 	o.httpRequests = r.CounterVec("paco_http_requests_total",
 		"HTTP requests served, by mux route and status code.", "route", "code")
 	o.httpDuration = r.HistogramVec("paco_http_request_duration_seconds",

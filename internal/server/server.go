@@ -108,7 +108,7 @@ type Config struct {
 	RouteSessions bool
 
 	// Experiments scales the /v1/experiments reports (nil selects
-	// experiments.Default(), the scale cmd/paco-repro runs at).
+	// experiments.Default(), the scale `paco all` runs at).
 	Experiments *experiments.Config
 
 	// Log receives structured operational messages (nil discards them).
@@ -785,7 +785,7 @@ func (s *Server) FederationStats() FederationStats { return s.fed.stats() }
 
 // handleExperiment is GET /v1/experiments/{name}: the named paper
 // experiment rendered exactly as the CLI renders it (the same
-// experiments.Run writer path paco and paco-repro use), cached under
+// experiments.Run writer path cmd/paco uses), cached under
 // the content address of (name, experiment config), and single-flighted
 // so a report stampede runs the experiment once.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {

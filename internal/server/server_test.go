@@ -205,8 +205,9 @@ func TestSingleFlight(t *testing.T) {
 
 // TestExperimentByteIdenticalToCLI is the other acceptance criterion:
 // GET /v1/experiments/fig2 must return exactly the bytes the CLI writes
-// — both cmd/paco and cmd/paco-repro render an experiment by calling
-// experiments.Run(name, cfg, w), so that call is the reference output.
+// — cmd/paco renders an experiment, alone or under `paco all`, by
+// calling experiments.Run(name, cfg, w), so that call is the reference
+// output.
 // A second GET is served from the content-addressed cache without
 // re-running the experiment.
 func TestExperimentByteIdenticalToCLI(t *testing.T) {

@@ -27,23 +27,21 @@ type Tape struct {
 	curs     []*Cursor
 }
 
-// tapeInitialSize is the starting ring capacity (entries). The lockstep
-// scheduler bounds drift to roughly one instruction quantum per lane,
-// so growth beyond this is rare.
+// tapeInitialSize is the ring capacity (entries) allocated on first
+// produce. The lockstep scheduler bounds drift to roughly one
+// instruction quantum per lane, so growth beyond this is rare.
 const tapeInitialSize = 4096
 
 // NewTape validates the spec and builds the shared walker. The error
 // is exactly NewWalker's, so a batched run fails like a single run.
+// The ring is allocated on first produce, so a tape whose one consumer
+// reads the walker directly (cpu.Batch with one lane) never holds one.
 func NewTape(spec *Spec) (*Tape, error) {
 	w, err := NewWalker(spec)
 	if err != nil {
 		return nil, err
 	}
-	return &Tape{
-		w:    w,
-		buf:  make([]Instruction, tapeInitialSize),
-		mask: tapeInitialSize - 1,
-	}, nil
+	return &Tape{w: w}, nil
 }
 
 // Walker returns the shared walker — the source of the taped stream.
@@ -102,9 +100,10 @@ func (t *Tape) reclaim() {
 	}
 }
 
-// grow doubles the ring, re-placing live entries by absolute position.
+// grow doubles the ring (or allocates the initial one), re-placing live
+// entries by absolute position.
 func (t *Tape) grow() {
-	nbuf := make([]Instruction, 2*len(t.buf))
+	nbuf := make([]Instruction, max(2*len(t.buf), tapeInitialSize))
 	nmask := uint64(len(nbuf) - 1)
 	for p := t.released; p < t.head; p++ {
 		nbuf[p&nmask] = t.buf[p&t.mask]
