@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
@@ -310,5 +311,116 @@ func TestSessionRoutingPlacement(t *testing.T) {
 	}
 	if v, _ := metricValue(metrics, "paco_session_routed_open"); v != 24 {
 		t.Errorf("paco_session_routed_open = %v, want 24", v)
+	}
+}
+
+// TestSessionNDJSONLineBound posts newline-free chunks that would grow a
+// session's held partial line past session.MaxNDJSONLine, straight to a
+// session worker and through the routing coordinator. Each is refused
+// with 400 naming session.ErrLineTooLong, the stream resumes where it
+// was, and the close still returns 200 with the replay's final scores.
+func TestSessionNDJSONLineBound(t *testing.T) {
+	worker, err := server.New(server.Config{JobWorkers: 1, CacheBytes: 1 << 20, SampleInterval: -1, FlightSpans: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker.Start()
+	workerHTTP := httptest.NewServer(worker.Handler())
+	t.Cleanup(func() {
+		workerHTTP.Close()
+		worker.Close()
+	})
+	c := servertest.New(t, servertest.Config{
+		Workers:        2,
+		SessionWorkers: true,
+		Server:         server.Config{JobWorkers: 1, CacheBytes: 1 << 20, RouteSessions: true},
+	})
+
+	var spec session.Spec
+	if err := json.Unmarshal([]byte(soakSpec), &spec); err != nil {
+		t.Fatal(err)
+	}
+	evs := soakEvents(77, 200)
+	var doc bytes.Buffer
+	for _, ev := range evs {
+		line, err := session.MarshalNDJSON(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc.Write(line)
+	}
+	offline, err := session.New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := offline.ApplyAll(evs); err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.MarshalIndent(offline.Close(), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, '\n')
+
+	post := func(base, id string, chunk []byte) (int, string) {
+		resp, err := http.Post(base+"/v1/sessions/"+id+"/events", "application/x-ndjson", bytes.NewReader(chunk))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, string(body)
+	}
+	for _, tc := range []struct {
+		name, base string
+		open       func() string
+	}{
+		{"worker", workerHTTP.URL, func() string {
+			resp, err := http.Post(workerHTTP.URL+"/v1/sessions", "application/json", strings.NewReader(soakSpec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var opened struct{ ID string }
+			if err := json.NewDecoder(resp.Body).Decode(&opened); err != nil || resp.StatusCode != http.StatusCreated {
+				t.Fatalf("open → %d, %v", resp.StatusCode, err)
+			}
+			return opened.ID
+		}},
+		{"router", c.URL(), func() string {
+			id, _ := openRouted(t, c.URL(), soakSpec)
+			return id
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			id := tc.open()
+			const cut = 1000 // mid-line
+			if status, body := post(tc.base, id, doc.Bytes()[:cut]); status != http.StatusAccepted {
+				t.Fatalf("first chunk → %d: %s", status, body)
+			}
+			junk := bytes.Repeat([]byte{' '}, session.MaxNDJSONLine)
+			for i := 0; i < 3; i++ {
+				status, body := post(tc.base, id, junk)
+				if status != http.StatusBadRequest || !strings.Contains(body, session.ErrLineTooLong.Error()) {
+					t.Fatalf("newline-free chunk %d → %d: %s", i, status, body)
+				}
+			}
+			if status, body := post(tc.base, id, doc.Bytes()[cut:]); status != http.StatusAccepted {
+				t.Fatalf("rest of stream → %d: %s", status, body)
+			}
+			req, _ := http.NewRequest(http.MethodDelete, tc.base+"/v1/sessions/"+id, nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("close → %d: %s", resp.StatusCode, got)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("final scores differ from offline replay:\n got %s\nwant %s", got, want)
+			}
+		})
 	}
 }

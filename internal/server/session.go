@@ -113,14 +113,8 @@ func sessionFormat(r *http.Request) session.Format {
 // dropped after this); 429 + Retry-After rejects it whole, with decoder
 // state rolled back so retrying the identical bytes is lossless.
 func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSessionChunk))
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		errorJSON(w, status, "reading events: %v", err)
+	body, ok := readChunk(w, r)
+	if !ok {
 		return
 	}
 	accepted, queued, err := s.sessions.Ingest(r.PathValue("id"), sessionFormat(r), body)
@@ -136,13 +130,30 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 		case errors.As(err, &fe):
 			errorJSON(w, http.StatusConflict, "%v", err)
 		default:
-			// Decode errors and latched stream errors: the stream is bad,
-			// but the session stays readable and closeable.
+			// Decode errors, over-long NDJSON lines and latched stream
+			// errors: the chunk is refused, but the session stays
+			// readable and closeable.
 			errorJSON(w, http.StatusBadRequest, "%v", err)
 		}
 		return
 	}
 	writeJSON(w, http.StatusAccepted, sessionIngested{Accepted: accepted, Queued: queued})
+}
+
+// readChunk reads one ingest chunk of at most maxSessionChunk bytes, or
+// answers 413 (too large) or 400 (unreadable) itself and reports false.
+func readChunk(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSessionChunk))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		errorJSON(w, status, "reading events: %v", err)
+		return nil, false
+	}
+	return body, true
 }
 
 // retryAfterSeconds renders a backoff hint as the integer seconds the

@@ -774,3 +774,48 @@ func TestSessionConcurrentHTTP(t *testing.T) {
 	}
 	t.Logf("concurrent lifecycle complete; %d backpressure rejections retried", rejected.Load())
 }
+
+// TestSessionChunkRead: readChunk takes a body with a declared
+// Content-Length and one without (chunked transfer encoding) alike, and
+// either way a body over maxSessionChunk is 413 and leaves the session
+// open.
+func TestSessionChunkRead(t *testing.T) {
+	_, ts := testServer(t, Config{JobWorkers: 1, QueueSize: 4, CacheBytes: 1 << 20})
+	evs := genSessionEvents(21, 100)
+	doc := ndjsonBytes(t, evs)
+	huge := bytes.Repeat([]byte{'\n'}, maxSessionChunk+1)
+
+	opened := openSession(t, ts, sessionSpecJSON)
+	post := func(body io.Reader) (int, sessionIngested) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/sessions/"+opened.ID+"/events", "application/x-ndjson", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var ack sessionIngested
+		if resp.StatusCode == http.StatusAccepted {
+			if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, ack
+	}
+	half := len(doc) / 2
+	// A bytes.Reader body declares its length; a MultiReader hides it.
+	sized, ack1 := post(bytes.NewReader(doc[:half]))
+	unsized, ack2 := post(io.MultiReader(bytes.NewReader(doc[half:])))
+	if sized != http.StatusAccepted || unsized != http.StatusAccepted || ack1.Accepted+ack2.Accepted != len(evs) {
+		t.Fatalf("sized chunk → %d, unsized → %d, completing %d+%d events; want 202, 202, %d",
+			sized, unsized, ack1.Accepted, ack2.Accepted, len(evs))
+	}
+	if status, _ := post(bytes.NewReader(huge)); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized sized chunk → %d, want 413", status)
+	}
+	if status, _ := post(io.MultiReader(bytes.NewReader(huge))); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized unsized chunk → %d, want 413", status)
+	}
+	if _, status := closeSession(t, ts, opened.ID); status != http.StatusOK {
+		t.Fatalf("close → %d, want 200", status)
+	}
+}

@@ -525,14 +525,8 @@ func upstreamGone(status int) bool {
 // client's retry of the identical bytes lands here again.
 func (rt *sessionRouter) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSessionChunk))
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		errorJSON(w, status, "reading events: %v", err)
+	body, ok := readChunk(w, r)
+	if !ok {
 		return
 	}
 	e := rt.lookup(w, id)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"paco/internal/trace"
 )
@@ -28,16 +29,47 @@ type wireEvent struct {
 	Cycle       uint64 `json:"cycle,omitempty"`
 }
 
+// MaxNDJSONLine bounds every NDJSON line, complete or still waiting for
+// its newline. A canonical event line is under 200 bytes; the bound
+// stops a client that never sends a newline from growing the held
+// remainder (and the per-chunk copy of it) without limit. Because it
+// holds for complete lines too, where the chunks are cut never decides
+// whether a stream is accepted.
+const MaxNDJSONLine = 64 << 10
+
+// ErrLineTooLong rejects an NDJSON line longer than MaxNDJSONLine (400
+// over HTTP).
+var ErrLineTooLong = fmt.Errorf("session: NDJSON line longer than %d bytes", MaxNDJSONLine)
+
+// minNDJSONEvent is the length of the shortest line that decodes to an
+// event, `{"kind":"fetch"}` and its newline. It caps the batch estimate,
+// so blank-line padding cannot size a batch past twice the chunk's bytes.
+const minNDJSONEvent = len(`{"kind":"fetch"}` + "\n")
+
 // kindNames maps binary event kinds to their NDJSON spellings (index by
 // EventKind; slot 0 unused).
 var kindNames = [...]string{"", "fetch", "resolve", "squash", "retire", "cycle"}
 
-// parseNDJSONLine decodes one NDJSON line into a trace event.
+// parseNDJSONLine decodes one NDJSON line into a trace event. The byte
+// scanner takes the lines clients actually send; anything it is not
+// certain of goes to encoding/json, which stays the one definition of
+// the accepted language and of every error text.
 func parseNDJSONLine(line []byte) (trace.Event, error) {
 	var w wireEvent
-	if err := json.Unmarshal(line, &w); err != nil {
-		return trace.Event{}, fmt.Errorf("session: bad event line: %w", err)
+	if !scanWireEvent(line, &w) {
+		// A variable of its own: handing &w to json.Unmarshal would move
+		// it to the heap on every line, scanned or not.
+		var ref wireEvent
+		if err := json.Unmarshal(line, &ref); err != nil {
+			return trace.Event{}, fmt.Errorf("session: bad event line: %w", err)
+		}
+		w = ref
 	}
+	return w.event()
+}
+
+// event converts a decoded wire object into a trace event.
+func (w *wireEvent) event() (trace.Event, error) {
 	ev := trace.Event{Tag: w.Tag, PC: w.PC, History: w.History, MDC: w.MDC}
 	if w.Conditional {
 		ev.Flags |= 1
@@ -63,17 +95,173 @@ func parseNDJSONLine(line []byte) (trace.Event, error) {
 	return ev, nil
 }
 
+// scanWireEvent fills w from line without allocating and reports
+// whether it could do so with certainty: one flat object of exactly
+// spelled wire keys, an unescaped kind naming one of the five kinds,
+// unsigned integers in range for their field (no sign, fraction,
+// exponent or leading zero), true/false, and JSON whitespace between
+// tokens. A repeated key overwrites, as in encoding/json. On false w
+// may be partly filled and the caller must decode line afresh.
+func scanWireEvent(line []byte, w *wireEvent) bool {
+	i := skipJSONSpace(line, 0)
+	if i == len(line) || line[i] != '{' {
+		return false
+	}
+	i = skipJSONSpace(line, i+1)
+	if i < len(line) && line[i] == '}' {
+		return skipJSONSpace(line, i+1) == len(line)
+	}
+	for {
+		key, ok := scanPlainString(line, &i)
+		if !ok {
+			return false
+		}
+		i = skipJSONSpace(line, i)
+		if i == len(line) || line[i] != ':' {
+			return false
+		}
+		i = skipJSONSpace(line, i+1)
+		switch string(key) {
+		case "kind":
+			var name []byte
+			if name, ok = scanPlainString(line, &i); ok {
+				w.Kind, ok = lookupKind(name)
+			}
+		case "tag":
+			ok = scanUint(line, &i, math.MaxUint64, &w.Tag)
+		case "pc":
+			ok = scanUint(line, &i, math.MaxUint64, &w.PC)
+		case "cycle":
+			ok = scanUint(line, &i, math.MaxUint64, &w.Cycle)
+		case "history":
+			var v uint64
+			ok = scanUint(line, &i, math.MaxUint32, &v)
+			w.History = uint32(v)
+		case "mdc":
+			var v uint64
+			ok = scanUint(line, &i, math.MaxUint8, &v)
+			w.MDC = uint8(v)
+		case "conditional":
+			ok = scanBool(line, &i, &w.Conditional)
+		case "correct":
+			ok = scanBool(line, &i, &w.Correct)
+		default:
+			return false
+		}
+		if !ok {
+			return false
+		}
+		i = skipJSONSpace(line, i)
+		if i == len(line) {
+			return false
+		}
+		switch line[i] {
+		case '}':
+			return skipJSONSpace(line, i+1) == len(line)
+		case ',':
+			i = skipJSONSpace(line, i+1)
+		default:
+			return false
+		}
+	}
+}
+
+// lookupKind returns the kindNames entry spelled by name, so the
+// decoded Kind shares the constant instead of a copy of the line.
+func lookupKind(name []byte) (string, bool) {
+	for _, k := range kindNames[1:] {
+		if string(name) == k {
+			return k, true
+		}
+	}
+	return "", false
+}
+
+func skipJSONSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// scanPlainString reads the string token at b[*i] and returns its
+// contents. It refuses any string holding an escape or a control
+// character: those are encoding/json's to decode.
+func scanPlainString(b []byte, i *int) ([]byte, bool) {
+	if *i == len(b) || b[*i] != '"' {
+		return nil, false
+	}
+	for j := *i + 1; j < len(b); j++ {
+		switch c := b[j]; {
+		case c == '"':
+			s := b[*i+1 : j]
+			*i = j + 1
+			return s, true
+		case c == '\\' || c < 0x20:
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+// scanUint reads the unsigned integer at b[*i] into *v if it is at most
+// limit. It refuses a sign or a leading zero; a fraction or exponent
+// fails the caller's delimiter check after the digits.
+func scanUint(b []byte, i *int, limit uint64, v *uint64) bool {
+	j := *i
+	if j == len(b) || b[j] < '0' || b[j] > '9' {
+		return false
+	}
+	var n uint64
+	for ; j < len(b) && b[j] >= '0' && b[j] <= '9'; j++ {
+		d := uint64(b[j] - '0')
+		if n > (limit-d)/10 {
+			return false
+		}
+		n = n*10 + d
+	}
+	if b[*i] == '0' && j-*i > 1 {
+		return false
+	}
+	*i, *v = j, n
+	return true
+}
+
+// scanBool reads the literal true or false at b[*i] into *v.
+func scanBool(b []byte, i *int, v *bool) bool {
+	switch {
+	case bytes.HasPrefix(b[*i:], []byte("true")):
+		*i, *v = *i+4, true
+	case bytes.HasPrefix(b[*i:], []byte("false")):
+		*i, *v = *i+5, false
+	default:
+		return false
+	}
+	return true
+}
+
 // DecodeNDJSON parses every newline-terminated event in data, returning
 // the events and the unterminated tail (the partial last line of a
 // chunked upload — the caller stashes it and prepends it to the next
-// chunk). Blank lines are skipped. A parse error is terminal for the
-// stream.
+// chunk). Blank lines are skipped; decoding stops at the first bad
+// line, or at a line (the tail included) longer than MaxNDJSONLine.
+// The batch is sized from the newline count up front, so a chunk of
+// canonical lines costs one allocation.
 func DecodeNDJSON(data []byte) ([]trace.Event, []byte, error) {
 	var evs []trace.Event
+	if n := min(bytes.Count(data, []byte{'\n'}), len(data)/minNDJSONEvent+1); n > 0 {
+		evs = make([]trace.Event, 0, n)
+	}
 	for {
 		nl := bytes.IndexByte(data, '\n')
 		if nl < 0 {
+			if len(data) > MaxNDJSONLine {
+				return evs, nil, ErrLineTooLong
+			}
 			return evs, data, nil
+		}
+		if nl > MaxNDJSONLine {
+			return evs, nil, ErrLineTooLong
 		}
 		line := bytes.TrimSpace(data[:nl])
 		data = data[nl+1:]

@@ -302,8 +302,9 @@ func (t *Table) Open(spec Spec, traceID string) (id, key string, norm Spec, err 
 // the completed events. It returns how many events the chunk completed
 // and the queue depth after the append. On *BackpressureError nothing
 // was consumed: the decoder is rolled back and the client retries the
-// identical bytes. Decode errors are terminal for the session's stream
-// but leave the session readable (and closeable).
+// identical bytes. A decode error (or ErrLineTooLong) rejects the chunk
+// whole, leaving the stream where it was: later chunks are still
+// accepted, and the session stays readable and closeable.
 func (t *Table) Ingest(id string, format Format, chunk []byte) (accepted, queued int, err error) {
 	start := time.Now()
 	defer func() { t.metrics.IngestDuration.Observe(time.Since(start).Seconds()) }()

@@ -569,3 +569,82 @@ func TestTableShutdownDrains(t *testing.T) {
 		t.Fatalf("open after shutdown = %v", err)
 	}
 }
+
+// TestTableNDJSONLineBound: a chunk whose unterminated tail would leave
+// more than MaxNDJSONLine bytes waiting for a newline, or that completes
+// a line past the bound, is rejected whole with ErrLineTooLong; the held
+// remainder stays as it was, and the stream carries on from there. A
+// line of exactly the bound is accepted.
+func TestTableNDJSONLineBound(t *testing.T) {
+	tbl := newTestTable(t, TableConfig{})
+	remLen := func(id string) int {
+		sh := tbl.shardFor(id)
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return len(sh.sessions[id].ndrem)
+	}
+	evs := []trace.Event{{Kind: trace.EvCycle, PC: 64}, {Kind: trace.EvCycle, PC: 128}}
+	doc := ndjsonDoc(t, evs)
+
+	id, _, _, err := tbl.Open(Spec{}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cut = 10 // mid first line
+	if n, _, err := tbl.Ingest(id, FormatNDJSON, doc[:cut]); err != nil || n != 0 {
+		t.Fatalf("partial line: accepted %d, %v", n, err)
+	}
+	junk := bytes.Repeat([]byte{' '}, MaxNDJSONLine-cut+1)
+	for i := 0; i < 4; i++ {
+		if _, _, err := tbl.Ingest(id, FormatNDJSON, junk); !errors.Is(err, ErrLineTooLong) {
+			t.Fatalf("newline-free chunk %d: %v, want ErrLineTooLong", i, err)
+		}
+		if n := remLen(id); n != cut {
+			t.Fatalf("remainder after rejected chunk %d holds %d bytes, want %d", i, n, cut)
+		}
+	}
+	if n, _, err := tbl.Ingest(id, FormatNDJSON, doc[cut:]); err != nil || n != len(evs) {
+		t.Fatalf("rest of stream: accepted %d, %v; want %d", n, err, len(evs))
+	}
+	want, err := New(Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := want.ApplyAll(evs); err != nil {
+		t.Fatal(err)
+	}
+	final, err := tbl.Close(id, CloseClient)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantFinal := want.Close(); !reflect.DeepEqual(final, wantFinal) {
+		t.Fatalf("final scores after rejected chunks:\n got  %+v\n want %+v", final, wantFinal)
+	}
+
+	// The bound is inclusive: a tail of exactly MaxNDJSONLine is held.
+	id, _, _, err = tbl.Open(Spec{}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := tbl.Ingest(id, FormatNDJSON, junk[:MaxNDJSONLine-cut]); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := tbl.Ingest(id, FormatNDJSON, junk[:cut]); err != nil {
+		t.Fatalf("tail of exactly the bound: %v", err)
+	}
+	if _, _, err := tbl.Ingest(id, FormatNDJSON, junk[:1]); !errors.Is(err, ErrLineTooLong) {
+		t.Fatalf("tail one past the bound: %v, want ErrLineTooLong", err)
+	}
+	// The held spaces lead the next line, so completing an event on
+	// them makes a line past the bound; a bare newline ends them as a
+	// blank line of exactly the bound, and the stream carries on.
+	if _, _, err := tbl.Ingest(id, FormatNDJSON, doc); !errors.Is(err, ErrLineTooLong) {
+		t.Fatalf("event completing a held line of the bound: %v, want ErrLineTooLong", err)
+	}
+	if n, _, err := tbl.Ingest(id, FormatNDJSON, []byte("\n")); err != nil || n != 0 {
+		t.Fatalf("newline ending the held line: accepted %d, %v", n, err)
+	}
+	if n, _, err := tbl.Ingest(id, FormatNDJSON, doc); err != nil || n != len(evs) {
+		t.Fatalf("stream after the held line: accepted %d, %v; want %d", n, err, len(evs))
+	}
+}
