@@ -47,3 +47,28 @@ func TestWrongPathNextZeroAllocs(t *testing.T) {
 		t.Fatalf("WrongPath.Next allocates %.4f times per instruction, want 0", allocs)
 	}
 }
+
+// newWalkerAllocs is what NewWalker of a compiled registry spec
+// allocates: the walker, its call stack, its pattern offsets, its branch
+// states and its two RNG streams.
+const newWalkerAllocs = 6
+
+// TestNewWalkerRegistryAllocs pins the cost of starting a walk of a
+// registry model once its image is compiled: the same fixed number of
+// allocations for every model, however large its program.
+func TestNewWalkerRegistryAllocs(t *testing.T) {
+	for _, name := range BenchmarkNames {
+		spec := MustBenchmark(name)
+		if _, err := NewWalker(spec); err != nil { // compiles the image
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := NewWalker(spec); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != newWalkerAllocs {
+			t.Errorf("NewWalker(%s) allocates %.0f times, want %d", name, allocs, newWalkerAllocs)
+		}
+	}
+}

@@ -1,6 +1,10 @@
 package workload
 
-import "paco/internal/rng"
+import (
+	"math/bits"
+
+	"paco/internal/rng"
+)
 
 // BranchClass enumerates the behavioural classes of static conditional
 // branches. The mix of classes (and their parameters) is what gives each
@@ -94,107 +98,69 @@ func (g *globalCtx) maybeStormFlip(taken bool) bool {
 	return taken
 }
 
-// outcomeGen produces the actual direction sequence of one static branch.
-type outcomeGen interface {
-	next(g *globalCtx, r *rng.RNG) bool
-	class() BranchClass
+// branchGen is one static conditional branch's outcome generator: its
+// class, the class parameters, and the RNG state its private stream
+// starts from (so behaviour is independent of CFG interleaving). It is
+// part of the immutable image; the stream's evolving state lives in the
+// walker's branchState.
+type branchGen struct {
+	// p is the taken probability of biased and random branches and of a
+	// noisy branch's underlying bias; for a loop branch it is the exit
+	// hazard 1/trip.
+	p float64
+	// eps is a noisy branch's flip probability.
+	eps float64
+	// rng0 is the branch's RNG state before its first execution.
+	rng0 rng.RNG
+	// mask selects the global history bits whose parity a pattern or
+	// correlated branch follows; invert negates that parity.
+	mask   uint32
+	invert bool
+	class  BranchClass
 }
 
-type biasedGen struct{ pTaken float64 }
-
-func (b *biasedGen) next(_ *globalCtx, r *rng.RNG) bool { return r.Bool(b.pTaken) }
-func (b *biasedGen) class() BranchClass                 { return ClassBiased }
-
-// loopGen models a data-dependent loop backedge: taken until exit, with a
-// geometric (memoryless) exit hazard of 1/trip per iteration. Real loop
-// trip counts are mostly data-dependent at this granularity; a fixed
-// deterministic trip would make windows between exits certainly safe,
-// which no fetch-time predictor can know, and would break the
-// independence assumption far more than SPEC-like code does.
-type loopGen struct {
-	trip int // mean iterations per loop instance
-}
-
-func (l *loopGen) next(_ *globalCtx, r *rng.RNG) bool {
-	return !r.Bool(1 / float64(l.trip))
-}
-func (l *loopGen) class() BranchClass { return ClassLoop }
-
-type patternGen struct {
-	pattern uint64
-	length  int
-	pos     int
-}
-
-func (p *patternGen) next(*globalCtx, *rng.RNG) bool {
-	taken := p.pattern>>uint(p.pos)&1 == 1
-	p.pos = (p.pos + 1) % p.length
-	return taken
-}
-func (p *patternGen) class() BranchClass { return ClassPattern }
-
-type correlatedGen struct {
-	maskBits uint32 // which history bits feed the XOR
-	invert   bool
-	cls      BranchClass
-}
-
-func (c *correlatedGen) next(g *globalCtx, _ *rng.RNG) bool {
-	x := g.history & c.maskBits
-	taken := popcount32(x)&1 == 1
-	if c.invert {
-		taken = !taken
+// next draws one outcome. Loop branches model a data-dependent loop
+// backedge: taken until exit, with a geometric (memoryless) exit hazard
+// of 1/trip per iteration. Real loop trip counts are mostly
+// data-dependent at this granularity; a fixed deterministic trip would
+// make windows between exits certainly safe, which no fetch-time
+// predictor can know, and would break the independence assumption far
+// more than SPEC-like code does.
+func (b *branchGen) next(g *globalCtx, r *rng.RNG) bool {
+	switch b.class {
+	case ClassLoop:
+		return !r.Bool(b.p)
+	case ClassPattern, ClassCorrelated:
+		taken := bits.OnesCount32(g.history&b.mask)&1 == 1
+		return taken != b.invert
+	case ClassNoisy:
+		taken := r.Bool(b.p)
+		if r.Bool(b.eps) {
+			return !taken
+		}
+		return taken
+	default: // ClassBiased, ClassRandom
+		return r.Bool(b.p)
 	}
-	return taken
-}
-func (c *correlatedGen) class() BranchClass { return c.cls }
-
-type noisyGen struct {
-	inner outcomeGen
-	eps   float64
 }
 
-func (n *noisyGen) next(g *globalCtx, r *rng.RNG) bool {
-	taken := n.inner.next(g, r)
-	if r.Bool(n.eps) {
-		return !taken
-	}
-	return taken
-}
-func (n *noisyGen) class() BranchClass { return ClassNoisy }
-
-type randomGen struct{ pTaken float64 }
-
-func (rg *randomGen) next(_ *globalCtx, r *rng.RNG) bool { return r.Bool(rg.pTaken) }
-func (rg *randomGen) class() BranchClass                 { return ClassRandom }
-
-func popcount32(v uint32) int {
-	n := 0
-	for v != 0 {
-		n += int(v & 1)
-		v >>= 1
-	}
-	return n
-}
-
-// staticBranch is one static conditional branch: an outcome generator plus
-// its private RNG stream so behaviour is independent of CFG interleaving.
-type staticBranch struct {
-	id  int
-	gen outcomeGen
-	rng *rng.RNG
-	// outcome counters for diagnostics
+// branchState is one static branch's per-walker state: its RNG stream
+// and diagnostic outcome counters.
+type branchState struct {
+	rng      rng.RNG
 	executed uint64
 	taken    uint64
 }
 
-func (sb *staticBranch) next(g *globalCtx) bool {
-	t := sb.gen.next(g, sb.rng)
+// next draws the branch's outcome, applies the storm, and records it in
+// the global history and the counters.
+func (st *branchState) next(gen *branchGen, g *globalCtx) bool {
+	t := gen.next(g, &st.rng)
 	t = g.maybeStormFlip(t)
 	g.push(t)
-	sb.executed++
+	st.executed++
 	if t {
-		sb.taken++
+		st.taken++
 	}
 	return t
 }
@@ -219,14 +185,14 @@ type BranchMix struct {
 }
 
 // normalized weights in class order.
-func (m BranchMix) weights() []float64 {
-	return []float64{m.Biased, m.Loop, m.Pattern, m.Correlated, m.Noisy, m.Random}
+func (m BranchMix) weights() [numClasses]float64 {
+	return [numClasses]float64{m.Biased, m.Loop, m.Pattern, m.Correlated, m.Noisy, m.Random}
 }
 
 // makeBranch samples one static branch from the mix.
-func (m BranchMix) makeBranch(id int, choice *rng.WeightedChoice, r *rng.RNG) *staticBranch {
+func (m BranchMix) makeBranch(choice *rng.WeightedChoice, r *rng.RNG) branchGen {
 	cls := BranchClass(choice.Sample(r))
-	var gen outcomeGen
+	gen := branchGen{class: cls}
 	switch cls {
 	case ClassBiased:
 		p := m.BiasedP
@@ -236,7 +202,7 @@ func (m BranchMix) makeBranch(id int, choice *rng.WeightedChoice, r *rng.RNG) *s
 		if r.Bool(0.5) {
 			p = 1 - p
 		}
-		gen = &biasedGen{pTaken: p}
+		gen.p = p
 	case ClassLoop:
 		lo, hi := m.LoopTripMin, m.LoopTripMax
 		if lo <= 1 {
@@ -245,24 +211,22 @@ func (m BranchMix) makeBranch(id int, choice *rng.WeightedChoice, r *rng.RNG) *s
 		if hi < lo {
 			hi = lo
 		}
-		gen = &loopGen{trip: r.Range(lo, hi)}
+		gen.p = 1 / float64(r.Range(lo, hi))
 	case ClassPattern:
 		// A deterministic function of 3 recent global outcomes: learnable
 		// by the gshare component (slightly slower to warm than
 		// ClassCorrelated's 2-bit function). A fixed repeating local
 		// pattern would be invisible to a global-history predictor.
-		mask := uint32(0)
-		for popcount32(mask) < 3 {
-			mask |= 1 << uint(r.Intn(7))
+		for bits.OnesCount32(gen.mask) < 3 {
+			gen.mask |= 1 << uint(r.Intn(7))
 		}
-		gen = &correlatedGen{maskBits: mask, invert: r.Bool(0.5), cls: ClassPattern}
+		gen.invert = r.Bool(0.5)
 	case ClassCorrelated:
 		// Use 2-3 bits of recent history within gshare's reach.
-		mask := uint32(0)
-		for popcount32(mask) < 2 {
-			mask |= 1 << uint(r.Intn(6))
+		for bits.OnesCount32(gen.mask) < 2 {
+			gen.mask |= 1 << uint(r.Intn(6))
 		}
-		gen = &correlatedGen{maskBits: mask, invert: r.Bool(0.5), cls: ClassCorrelated}
+		gen.invert = r.Bool(0.5)
 	case ClassNoisy:
 		// A strongly biased branch flipped with probability epsilon: the
 		// predictor learns the bias, leaving a mispredict rate of ~eps.
@@ -274,15 +238,16 @@ func (m BranchMix) makeBranch(id int, choice *rng.WeightedChoice, r *rng.RNG) *s
 		if r.Bool(0.5) {
 			p = 1 - p
 		}
-		gen = &noisyGen{inner: &biasedGen{pTaken: p}, eps: eps}
+		gen.p, gen.eps = p, eps
 	case ClassRandom:
 		p := m.RandomP
 		if p <= 0 {
 			p = 0.5
 		}
-		gen = &randomGen{pTaken: p}
+		gen.p = p
 	default:
 		panic("workload: unknown branch class")
 	}
-	return &staticBranch{id: id, gen: gen, rng: r.Fork()}
+	gen.rng0 = *r.Fork()
+	return gen
 }

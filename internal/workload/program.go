@@ -2,6 +2,9 @@ package workload
 
 import (
 	"fmt"
+	"math/bits"
+	"reflect"
+	"sync"
 
 	"paco/internal/rng"
 )
@@ -94,7 +97,7 @@ func (s *Spec) Validate() error {
 		for _, x := range w {
 			total += x
 		}
-		if total <= 0 {
+		if !(total > 0) { // also rejects NaN
 			return fmt.Errorf("workload %s: phase %d has no branch classes", s.Name, i)
 		}
 	}
@@ -121,7 +124,7 @@ func (s *Spec) Validate() error {
 		{"IndirectFrac", s.IndirectFrac}, {"StormEnter", s.StormEnter},
 		{"StormExit", s.StormExit}, {"StormFlip", s.StormFlip},
 	} {
-		if f.v < 0 || f.v > 1 {
+		if !(f.v >= 0 && f.v <= 1) { // also rejects NaN
 			return fmt.Errorf("workload %s: %s=%g outside [0, 1]", s.Name, f.name, f.v)
 		}
 	}
@@ -132,52 +135,51 @@ func (s *Spec) Validate() error {
 }
 
 // kindFallthrough marks a block with no terminator instruction: execution
-// flows directly into fallBlk (used to stitch structured segments).
+// flows directly into fall (used to stitch structured segments).
 const kindFallthrough Kind = 0xFF
 
-// terminator kinds mirror Kind but carry CFG data.
-type terminator struct {
-	kind     Kind
-	branch   *staticBranch // conditional only
-	takenBlk int           // conditional taken target / jump / call target
-	fallBlk  int           // conditional fall-through, call return site, fallthrough next
-	indirect []int         // indirect targets
+// block is one basic block of the synthetic program: its address, its
+// body (a run of image.instrs) and its terminator. Block indices are
+// local to the block's region.
+type block struct {
+	pc    uint64
+	first uint32 // index of the first body instruction in image.instrs
+	n     uint32 // body length
+	kind  Kind   // terminator kind, or kindFallthrough
+	// branch is the static conditional branch's ID (KindBranch).
+	branch int32
+	// taken is the conditional branch's taken target or the jump/call
+	// target; for KindIndirect, the index of its first target in
+	// image.targets.
+	taken int32
+	// fall is the conditional fall-through, the call's return site or a
+	// fallthrough block's successor; for KindIndirect, the target count.
+	fall int32
 }
 
-// memPattern drives one static memory instruction's address stream.
+// staticInstr is one block-body instruction.
+type staticInstr struct {
+	// mem is 1 + the index of the instruction's sequential memory
+	// pattern in image.mems, or 0.
+	mem   uint32
+	kind  Kind
+	lat   uint8 // base execution latency in cycles
+	flags uint8
+}
+
+// staticInstr flags.
+const (
+	instrDep2     = 1 << iota // reads a second operand
+	instrRandAddr             // load/store at a uniformly random working-set address
+)
+
+// memPattern is one sequential memory instruction's address stream: it
+// strides through [base, base+span) and wraps. The walker keeps the
+// current offset (Walker.off).
 type memPattern struct {
 	base   uint64
-	stride uint64
-	span   uint64 // wraps within [base, base+span)
-	off    uint64
-	random bool
-}
-
-func (m *memPattern) next(r *rng.RNG, wsMask uint64) uint64 {
-	if m.random {
-		return m.base + (r.Uint64() & wsMask)
-	}
-	a := m.base + m.off
-	m.off += m.stride
-	if m.off >= m.span {
-		m.off = 0
-	}
-	return a
-}
-
-// staticInstr is one non-terminator instruction slot in a block.
-type staticInstr struct {
-	kind    Kind
-	lat     uint64
-	mem     *memPattern
-	hasDep2 bool
-}
-
-// block is one basic block of the synthetic program.
-type block struct {
-	pc     uint64
-	instrs []staticInstr
-	term   terminator
+	stride uint32
+	span   uint32
 }
 
 const instrBytes = 4
@@ -185,55 +187,94 @@ const instrBytes = 4
 // dataBase is where the data working set starts (disjoint from code).
 const dataBase = 1 << 32
 
-// program is the built code: one region of blocks per phase, each region a
-// structured program — a driver loop that calls functions; functions are
-// sequences of plain/loop/diamond/call/indirect segments ending in a
-// return. This structure guarantees the walk keeps mixing over the whole
-// region (a uniformly random digraph collapses into tiny deterministic
-// orbits) and gives loop branches real loop semantics: consecutive
-// executions with a trip-count exit, which is what the JRS miss distance
-// counters key on.
-type program struct {
-	regions  [][]block
-	entries  []int // driver entry block per region
-	branches []*staticBranch
+// image is one compiled program: one region of blocks per phase, each
+// region a structured program — a driver loop that calls functions;
+// functions are sequences of plain/loop/diamond/call/indirect segments
+// ending in a return. This structure guarantees the walk keeps mixing
+// over the whole region (a uniformly random digraph collapses into tiny
+// deterministic orbits) and gives loop branches real loop semantics:
+// consecutive executions with a trip-count exit, which is what the JRS
+// miss distance counters key on.
+//
+// An image is immutable once compile returns, so any number of walkers
+// on any goroutines may read it at once; everything a walk changes lives
+// in the Walker. It is held in flat, index-linked slices (no per-block,
+// per-instruction or per-pattern heap objects), which keeps the
+// registry's images small enough to retain for the life of the process.
+type image struct {
+	regions  [][]block     // per phase
+	entries  []int         // driver entry block per region
+	instrs   []staticInstr // every block body, block after block
+	targets  []int32       // indirect-dispatch targets
+	mems     []memPattern  // sequential memory patterns
+	branches []branchGen   // static conditional branches, by ID
+	// afterBuild is the builder RNG after the build: walkers fork their own
+	// streams from a copy of it.
+	afterBuild rng.RNG
+}
+
+// registry images: each registered spec's image, compiled on first use.
+type sharedImage struct {
+	once sync.Once
+	img  *image
+}
+
+// images holds one entry per registry name; it is written only where
+// specs is (register, Register), so lookups need no lock.
+var images = map[string]*sharedImage{}
+
+// registryImage returns the shared image of spec's registry entry when
+// spec equals that entry field for field, compiling it on first use;
+// otherwise nil (the caller compiles a private image). Scoping sharing
+// to the registry bounds what the process retains to one image per
+// registered model, however many distinct specs pass through.
+func registryImage(spec *Spec) *image {
+	reg, ok := specs[spec.Name]
+	if !ok || !reflect.DeepEqual(spec, reg) {
+		return nil
+	}
+	e := images[spec.Name]
+	e.once.Do(func() { e.img = compile(reg) })
+	return e.img
 }
 
 // builder assembles one region.
 type builder struct {
 	spec   *Spec
 	mix    *BranchMix
-	choice *rng.WeightedChoice // diamond-class sampler (loop excluded)
+	choice *rng.WeightedChoice // diamond-class sampler (loop excluded); nil if no diamond class
 	r      *rng.RNG
 	blocks []block
-	prog   *program
-	nextID *int
+	img    *image
 	ws     uint64
 }
 
-// build constructs the program for spec.
-func build(spec *Spec, r *rng.RNG) *program {
-	p := &program{}
-	id := 0
+// compile builds spec's program.
+func compile(spec *Spec) *image {
+	r := rng.NewStream(spec.Seed, 0x5eed)
+	img := &image{}
 	for phIdx := range spec.Phases {
 		ph := &spec.Phases[phIdx]
-		// Diamond branches sample from the non-loop classes.
+		b := &builder{
+			spec: spec,
+			mix:  &ph.Mix,
+			r:    r,
+			img:  img,
+			ws:   uint64(spec.WorkingSetKB) * 1024,
+		}
+		// Diamond branches sample from the non-loop classes; a phase of
+		// loop branches only has no diamond segments to sample for.
 		w := ph.Mix.weights()
 		w[ClassLoop] = 0
-		b := &builder{
-			spec:   spec,
-			mix:    &ph.Mix,
-			choice: rng.NewWeightedChoice(w),
-			r:      r,
-			prog:   p,
-			nextID: &id,
-			ws:     uint64(spec.WorkingSetKB) * 1024,
+		if w[ClassBiased]+w[ClassPattern]+w[ClassCorrelated]+w[ClassNoisy]+w[ClassRandom] > 0 {
+			b.choice = rng.NewWeightedChoice(w[:])
 		}
 		entry := b.buildRegion(phIdx)
-		p.regions = append(p.regions, b.blocks)
-		p.entries = append(p.entries, entry)
+		img.regions = append(img.regions, b.blocks)
+		img.entries = append(img.entries, entry)
 	}
-	return p
+	img.afterBuild = *r
+	return img
 }
 
 // segment kinds.
@@ -273,10 +314,10 @@ func (b *builder) buildRegion(phIdx int) int {
 	}
 	for _, callee := range order {
 		idx := b.newBlock(2)
-		b.blocks[idx].term = terminator{kind: KindCall, takenBlk: callee, fallBlk: idx + 1}
+		b.setTerm(idx, KindCall, callee, idx+1)
 	}
 	last := b.newBlock(1)
-	b.blocks[last].term = terminator{kind: KindJump, takenBlk: driverEntry}
+	b.setTerm(last, KindJump, driverEntry, 0)
 	b.assignPCs(phIdx)
 	return driverEntry
 }
@@ -290,7 +331,7 @@ func (b *builder) buildFunction(leaf bool, callees []int) int {
 		switch kind {
 		case segPlain:
 			idx := b.newBlock(0)
-			b.blocks[idx].term = terminator{kind: kindFallthrough, fallBlk: idx + 1}
+			b.setTerm(idx, kindFallthrough, 0, idx+1)
 		case segLoop:
 			// Loop bodies span several blocks, as real loops do; a
 			// single-block body would put dozens of in-flight instances
@@ -299,41 +340,41 @@ func (b *builder) buildFunction(leaf bool, callees []int) int {
 			header := b.newBlock(1)
 			for k := b.r.Range(1, 5); k > 0; k-- {
 				idx := b.newBlock(0)
-				b.blocks[idx].term = terminator{kind: kindFallthrough, fallBlk: idx + 1}
+				b.setTerm(idx, kindFallthrough, 0, idx+1)
 			}
 			last := b.newBlock(0)
-			sb := b.makeLoopBranch()
-			b.blocks[header].term = terminator{kind: kindFallthrough, fallBlk: header + 1}
-			b.blocks[last].term = terminator{kind: KindBranch, branch: sb, takenBlk: header, fallBlk: last + 1}
+			b.blocks[last].branch = b.makeLoopBranch()
+			b.setTerm(header, kindFallthrough, 0, header+1)
+			b.setTerm(last, KindBranch, header, last+1)
 		case segDiamond:
 			idx := b.newBlock(0)
-			sb := b.makeDiamondBranch()
+			b.blocks[idx].branch = b.makeDiamondBranch()
 			t := b.newBlock(0)
 			e := b.newBlock(0)
-			b.blocks[idx].term = terminator{kind: KindBranch, branch: sb, takenBlk: t, fallBlk: e}
-			b.blocks[t].term = terminator{kind: KindJump, takenBlk: e + 1}
-			b.blocks[e].term = terminator{kind: kindFallthrough, fallBlk: e + 1}
+			b.setTerm(idx, KindBranch, t, e)
+			b.setTerm(t, KindJump, e+1, 0)
+			b.setTerm(e, kindFallthrough, 0, e+1)
 		case segCall:
 			idx := b.newBlock(0)
 			callee := callees[b.r.Intn(len(callees))]
-			b.blocks[idx].term = terminator{kind: KindCall, takenBlk: callee, fallBlk: idx + 1}
+			b.setTerm(idx, KindCall, callee, idx+1)
 		case segIndirect:
 			n := b.spec.IndirectTargets
 			if n < 2 {
 				n = 2
 			}
 			idx := b.newBlock(0)
-			targets := make([]int, n)
+			first := len(b.img.targets)
 			for k := 0; k < n; k++ {
 				stub := b.newBlock(0)
-				targets[k] = stub
-				b.blocks[stub].term = terminator{kind: KindJump, takenBlk: idx + n + 1}
+				b.img.targets = append(b.img.targets, int32(stub))
+				b.setTerm(stub, KindJump, idx+n+1, 0)
 			}
-			b.blocks[idx].term = terminator{kind: KindIndirect, indirect: targets}
+			b.setTerm(idx, KindIndirect, first, n)
 		}
 	}
 	ret := b.newBlock(0)
-	b.blocks[ret].term = terminator{kind: KindReturn}
+	b.setTerm(ret, KindReturn, 0, 0)
 	return entry
 }
 
@@ -362,7 +403,14 @@ func (b *builder) segmentKind(leaf bool) int {
 	}
 }
 
-func (b *builder) makeLoopBranch() *staticBranch {
+// setTerm sets block idx's terminator kind and its two targets (see
+// block for what each means per kind).
+func (b *builder) setTerm(idx int, kind Kind, taken, fall int) {
+	blk := &b.blocks[idx]
+	blk.kind, blk.taken, blk.fall = kind, int32(taken), int32(fall)
+}
+
+func (b *builder) makeLoopBranch() int32 {
 	lo, hi := b.mix.LoopTripMin, b.mix.LoopTripMax
 	if lo <= 1 {
 		lo = 4
@@ -370,17 +418,19 @@ func (b *builder) makeLoopBranch() *staticBranch {
 	if hi < lo {
 		hi = lo
 	}
-	sb := &staticBranch{id: *b.nextID, gen: &loopGen{trip: b.r.Range(lo, hi)}, rng: b.r.Fork()}
-	*b.nextID++
-	b.prog.branches = append(b.prog.branches, sb)
-	return sb
+	gen := branchGen{class: ClassLoop, p: 1 / float64(b.r.Range(lo, hi))}
+	gen.rng0 = *b.r.Fork()
+	return b.addBranch(gen)
 }
 
-func (b *builder) makeDiamondBranch() *staticBranch {
-	sb := b.mix.makeBranch(*b.nextID, b.choice, b.r)
-	*b.nextID++
-	b.prog.branches = append(b.prog.branches, sb)
-	return sb
+func (b *builder) makeDiamondBranch() int32 {
+	return b.addBranch(b.mix.makeBranch(b.choice, b.r))
+}
+
+// addBranch appends a static branch and returns its ID.
+func (b *builder) addBranch(gen branchGen) int32 {
+	b.img.branches = append(b.img.branches, gen)
+	return int32(len(b.img.branches) - 1)
 }
 
 // newBlock appends a block with a sampled body length (plus extraLen) and
@@ -391,45 +441,46 @@ func (b *builder) newBlock(extraLen int) int {
 	if blen > 4*spec.AvgBlockLen {
 		blen = 4 * spec.AvgBlockLen
 	}
-	blk := block{instrs: make([]staticInstr, blen)}
-	for j := range blk.instrs {
-		si := &blk.instrs[j]
+	blk := block{first: uint32(len(b.img.instrs)), n: uint32(blen)}
+	for j := 0; j < blen; j++ {
+		si := staticInstr{lat: 1}
 		x := b.r.Float64()
 		switch {
 		case x < spec.LoadFrac:
 			si.kind = KindLoad
 			si.lat = 3 // L1 hit pipeline latency
-			si.mem = b.makeMemPattern()
+			b.addMem(&si)
 		case x < spec.LoadFrac+spec.StoreFrac:
 			si.kind = KindStore
-			si.lat = 1
-			si.mem = b.makeMemPattern()
+			b.addMem(&si)
 		default:
 			si.kind = KindALU
-			si.lat = 1
 			if b.r.Bool(spec.LongLatFrac) {
 				si.lat = 3
 			}
 		}
-		si.hasDep2 = b.r.Bool(0.4)
+		if b.r.Bool(0.4) {
+			si.flags |= instrDep2
+		}
+		b.img.instrs = append(b.img.instrs, si)
 	}
 	b.blocks = append(b.blocks, blk)
 	return len(b.blocks) - 1
 }
 
-func (b *builder) makeMemPattern() *memPattern {
-	m := &memPattern{}
-	m.random = b.r.Bool(b.spec.RandomAddrFrac)
-	wsMask := nextPow2u(b.ws) - 1
-	if m.random {
-		m.base = dataBase
-		m.span = wsMask + 1
-		return m
+// addMem gives a load or store its address stream: uniformly random over
+// the working set, or a new sequential pattern.
+func (b *builder) addMem(si *staticInstr) {
+	if b.r.Bool(b.spec.RandomAddrFrac) {
+		si.flags |= instrRandAddr
+		return
 	}
-	m.base = dataBase + (b.r.Uint64() & wsMask &^ 63)
-	m.stride = uint64(8 * (1 + b.r.Intn(8)))
-	m.span = m.stride * uint64(16+b.r.Intn(240))
-	return m
+	wsMask := nextPow2u(b.ws) - 1
+	m := memPattern{base: dataBase + (b.r.Uint64() & wsMask &^ 63)}
+	m.stride = uint32(8 * (1 + b.r.Intn(8)))
+	m.span = m.stride * uint32(16+b.r.Intn(240))
+	b.img.mems = append(b.img.mems, m)
+	si.mem = uint32(len(b.img.mems))
 }
 
 // assignPCs lays region blocks out contiguously in their own address
@@ -438,20 +489,22 @@ func (b *builder) assignPCs(phIdx int) {
 	pc := uint64(0x1000_0000) + uint64(phIdx)<<24
 	for i := range b.blocks {
 		b.blocks[i].pc = pc
-		n := len(b.blocks[i].instrs)
-		if b.blocks[i].term.kind != kindFallthrough {
+		n := int(b.blocks[i].n)
+		if b.blocks[i].kind != kindFallthrough {
 			n++ // terminator instruction
 		}
 		pc += uint64(n) * instrBytes
 	}
 }
 
+// nextPow2u returns the least power of two >= v; above 1<<63 it
+// returns 0, so nextPow2u(v)-1 is the all-ones mask instead of the
+// doubling loop never ending.
 func nextPow2u(v uint64) uint64 {
-	p := uint64(1)
-	for p < v {
-		p <<= 1
+	if v <= 1 {
+		return 1
 	}
-	return p
+	return 1 << bits.Len64(v-1)
 }
 
 func minInt(a, b int) int {

@@ -115,10 +115,13 @@ func register(s *Spec) {
 		panic(err)
 	}
 	specs[s.Name] = s
+	images[s.Name] = &sharedImage{}
 }
 
-// Register adds a custom benchmark spec to the registry (for tests and
-// downstream users building their own workloads).
+// Register adds a copy of a custom benchmark spec to the registry (for
+// tests and downstream users building their own workloads). Walkers of
+// specs equal to it share one compiled image, so the registry keeps its
+// own copy: later changes to s cannot make that image stale.
 func Register(s *Spec) error {
 	if err := s.Validate(); err != nil {
 		return err
@@ -126,7 +129,8 @@ func Register(s *Spec) error {
 	if _, dup := specs[s.Name]; dup {
 		return fmt.Errorf("workload: duplicate benchmark %q", s.Name)
 	}
-	specs[s.Name] = s
+	specs[s.Name] = s.Clone()
+	images[s.Name] = &sharedImage{}
 	return nil
 }
 

@@ -12,10 +12,13 @@ const maxCallDepth = 64
 // the walker stopped.
 type Walker struct {
 	spec   *Spec
-	prog   *program
+	img    *image // shared and read-only; the rest of the walker is its own
 	r      *rng.RNG
 	ctx    globalCtx
 	wsMask uint64
+
+	off      []uint32      // current offset of each sequential memory pattern
+	branches []branchState // each static branch's stream and counters
 
 	phase         int
 	phaseCount    uint64
@@ -28,19 +31,35 @@ type Walker struct {
 	phaseSwitches uint64
 }
 
-// NewWalker builds the benchmark's program and returns a walker positioned
-// at its entry.
+// NewWalker returns a walker positioned at the entry of the benchmark's
+// program. A spec equal to its registry entry walks that entry's shared
+// image, compiled once per process; any other spec compiles a private
+// one. Either way the stream is the same.
 func NewWalker(spec *Spec) (*Walker, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	r := rng.NewStream(spec.Seed, 0x5eed)
+	img := registryImage(spec)
+	if img == nil {
+		img = compile(spec)
+	}
+	return newWalker(spec, img), nil
+}
+
+// newWalker starts a walk of img, which must be spec's compiled image.
+func newWalker(spec *Spec, img *image) *Walker {
+	r := img.afterBuild
 	w := &Walker{
 		spec:      spec,
-		prog:      build(spec, r),
+		img:       img,
 		r:         r.Fork(),
 		wsMask:    nextPow2u(uint64(spec.WorkingSetKB)*1024) - 1,
+		off:       make([]uint32, len(img.mems)),
+		branches:  make([]branchState, len(img.branches)),
 		callStack: make([]int, 0, maxCallDepth),
+	}
+	for i := range w.branches {
+		w.branches[i].rng = img.branches[i].rng0
 	}
 	w.ctx = globalCtx{
 		stormEnter: spec.StormEnter,
@@ -48,9 +67,9 @@ func NewWalker(spec *Spec) (*Walker, error) {
 		stormFlip:  spec.StormFlip,
 		stormRNG:   r.Fork(),
 	}
-	w.region = w.prog.regions[0]
-	w.blockIdx = w.prog.entries[0]
-	return w, nil
+	w.region = img.regions[0]
+	w.blockIdx = img.entries[0]
+	return w
 }
 
 // Spec returns the walker's benchmark spec.
@@ -73,26 +92,28 @@ func (w *Walker) Next() Instruction {
 	w.maybeSwitchPhase()
 	blk := &w.region[w.blockIdx]
 	// Fall through terminator-less blocks (segment stitching).
-	for w.instrIdx >= len(blk.instrs) && blk.term.kind == kindFallthrough {
-		w.blockIdx = blk.term.fallBlk
+	for w.instrIdx >= int(blk.n) && blk.kind == kindFallthrough {
+		w.blockIdx = int(blk.fall)
 		w.instrIdx = 0
 		blk = &w.region[w.blockIdx]
 	}
 	var ins Instruction
-	if w.instrIdx < len(blk.instrs) {
-		si := &blk.instrs[w.instrIdx]
+	if w.instrIdx < int(blk.n) {
+		si := &w.img.instrs[int(blk.first)+w.instrIdx]
 		ins = Instruction{
 			PC:       blk.pc + uint64(w.instrIdx)*instrBytes,
 			Kind:     si.kind,
-			Lat:      si.lat,
+			Lat:      uint64(si.lat),
 			Dep1:     w.depDist(),
 			StaticID: -1,
 		}
-		if si.hasDep2 {
+		if si.flags&instrDep2 != 0 {
 			ins.Dep2 = w.depDist()
 		}
-		if si.mem != nil {
-			ins.Addr = si.mem.next(w.r, w.wsMask)
+		if si.flags&instrRandAddr != 0 {
+			ins.Addr = dataBase + (w.r.Uint64() & w.wsMask)
+		} else if si.mem != 0 {
+			ins.Addr = w.seqAddr(si.mem - 1)
 		}
 		ins.NextPC = ins.PC + instrBytes
 		w.instrIdx++
@@ -103,6 +124,18 @@ func (w *Walker) Next() Instruction {
 	w.phaseCount++
 	w.kindCounts[ins.Kind]++
 	return ins
+}
+
+// seqAddr returns sequential pattern i's next address and advances it.
+func (w *Walker) seqAddr(i uint32) uint64 {
+	m := &w.img.mems[i]
+	off := w.off[i]
+	if next := off + m.stride; next < m.span {
+		w.off[i] = next
+	} else {
+		w.off[i] = 0
+	}
+	return m.base + uint64(off)
 }
 
 func (w *Walker) depP() float64 {
@@ -126,30 +159,29 @@ func (w *Walker) depDist() int {
 }
 
 func (w *Walker) terminatorInstr(blk *block) Instruction {
-	t := &blk.term
-	termPC := blk.pc + uint64(len(blk.instrs))*instrBytes
+	termPC := blk.pc + uint64(blk.n)*instrBytes
 	ins := Instruction{
 		PC:       termPC,
-		Kind:     t.kind,
+		Kind:     blk.kind,
 		Lat:      1,
 		Dep1:     w.depDist(),
 		StaticID: -1,
 	}
-	switch t.kind {
+	switch blk.kind {
 	case KindBranch:
-		taken := t.branch.next(&w.ctx)
+		taken := w.branches[blk.branch].next(&w.img.branches[blk.branch], &w.ctx)
 		ins.Taken = taken
-		ins.StaticID = t.branch.id
+		ins.StaticID = int(blk.branch)
 		if taken {
-			w.blockIdx = t.takenBlk
-			ins.AltPC = w.region[t.fallBlk].pc // mispredicted: falls through
+			w.blockIdx = int(blk.taken)
+			ins.AltPC = w.region[blk.fall].pc // mispredicted: falls through
 		} else {
-			w.blockIdx = t.fallBlk
-			ins.AltPC = w.region[t.takenBlk].pc // mispredicted: takes the branch
+			w.blockIdx = int(blk.fall)
+			ins.AltPC = w.region[blk.taken].pc // mispredicted: takes the branch
 		}
 		ins.NextPC = w.region[w.blockIdx].pc
 	case KindJump:
-		w.blockIdx = t.takenBlk
+		w.blockIdx = int(blk.taken)
 		ins.NextPC = w.region[w.blockIdx].pc
 	case KindCall:
 		// Clamp by sliding in place rather than re-slicing off the front:
@@ -160,8 +192,8 @@ func (w *Walker) terminatorInstr(blk *block) Instruction {
 			copy(w.callStack, w.callStack[len(w.callStack)-maxCallDepth+1:])
 			w.callStack = w.callStack[:maxCallDepth-1]
 		}
-		w.callStack = append(w.callStack, t.fallBlk)
-		w.blockIdx = t.takenBlk
+		w.callStack = append(w.callStack, int(blk.fall))
+		w.blockIdx = int(blk.taken)
 		ins.NextPC = w.region[w.blockIdx].pc
 	case KindReturn:
 		if n := len(w.callStack); n > 0 {
@@ -170,11 +202,11 @@ func (w *Walker) terminatorInstr(blk *block) Instruction {
 		} else {
 			// Unbalanced return (clamped stack or phase switch): restart
 			// at the region's driver loop.
-			w.blockIdx = w.prog.entries[w.phase]
+			w.blockIdx = w.img.entries[w.phase]
 		}
 		ins.NextPC = w.region[w.blockIdx].pc
 	case KindIndirect:
-		w.blockIdx = t.indirect[w.r.Intn(len(t.indirect))]
+		w.blockIdx = int(w.img.targets[int(blk.taken)+w.r.Intn(int(blk.fall))])
 		ins.NextPC = w.region[w.blockIdx].pc
 	default:
 		panic("workload: bad terminator kind")
@@ -190,8 +222,8 @@ func (w *Walker) maybeSwitchPhase() {
 	}
 	w.phaseCount = 0
 	w.phase = (w.phase + 1) % len(w.spec.Phases)
-	w.region = w.prog.regions[w.phase]
-	w.blockIdx = w.prog.entries[w.phase]
+	w.region = w.img.regions[w.phase]
+	w.blockIdx = w.img.entries[w.phase]
 	w.instrIdx = 0
 	w.callStack = w.callStack[:0]
 	w.phaseSwitches++
@@ -207,14 +239,14 @@ type BranchStats struct {
 
 // BranchStats returns per-static-branch execution statistics.
 func (w *Walker) BranchStats() []BranchStats {
-	out := make([]BranchStats, 0, len(w.prog.branches))
-	for _, sb := range w.prog.branches {
-		out = append(out, BranchStats{
-			ID:       sb.id,
-			Class:    sb.gen.class(),
-			Executed: sb.executed,
-			Taken:    sb.taken,
-		})
+	out := make([]BranchStats, len(w.branches))
+	for i, st := range w.branches {
+		out[i] = BranchStats{
+			ID:       i,
+			Class:    w.img.branches[i].class,
+			Executed: st.executed,
+			Taken:    st.taken,
+		}
 	}
 	return out
 }

@@ -286,7 +286,7 @@ func TestGeneratorClasses(t *testing.T) {
 	r := rng.New(3)
 	var g globalCtx
 	// Loop: taken with probability 1-1/trip.
-	lg := &loopGen{trip: 10}
+	lg := &branchGen{class: ClassLoop, p: 1.0 / 10}
 	taken := 0
 	for i := 0; i < 10000; i++ {
 		if lg.next(&g, r) {
@@ -297,15 +297,12 @@ func TestGeneratorClasses(t *testing.T) {
 		t.Fatalf("loop taken fraction %d/10000, want ~9000", taken)
 	}
 	// Correlated: deterministic function of history.
-	cg := &correlatedGen{maskBits: 0b11, cls: ClassCorrelated}
+	cg := &branchGen{class: ClassCorrelated, mask: 0b11}
 	g.history = 0b01
 	first := cg.next(&g, r)
 	g.history = 0b01
 	if cg.next(&g, r) != first {
 		t.Fatal("correlated generator not deterministic given history")
-	}
-	if cg.class() != ClassCorrelated {
-		t.Fatal("class tag")
 	}
 }
 
